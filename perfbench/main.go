@@ -89,7 +89,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
 	}
-	r := &runner{sp: sp, seed: *seed, n: sp.perSecond * *seconds, workDir: workDir}
+	r := &runner{sp: sp, seed: *seed, n: sp.perSecond * *seconds, rounds: *seconds, workDir: workDir}
 	var rep report
 	var err error
 	if *trace == 1 {
@@ -112,6 +112,7 @@ type runner struct {
 	sp      spec
 	seed    int64
 	n       int
+	rounds  int
 	workDir string
 	// For the environment stamp: the untraced timed phase, the span
 	// file and the per-layer timings taken from the API probe.
@@ -126,16 +127,21 @@ type phase struct {
 	outcome
 	rounds   []round
 	heapLive uint64
+	// cpu and allocated are the process CPU time and the bytes allocated
+	// over all rounds. Cost per op depends on the op's input (mapreduce
+	// rounds ranged 500–840 KiB per op, in the same pattern on every run
+	// of one seed), so the per-op costs pool every op rather than take a
+	// median over rounds.
+	cpu       time.Duration
+	allocated uint64
 }
 
 // round is one contiguous slice of the ops, timed on its own.
 type round struct {
-	p50, tail time.Duration
-	tailP     float64
-	beyond    int
-	thr       float64 // correct ops per second
-	cpuPerOp  time.Duration
-	allocPer  float64 // bytes per op
+	p50      time.Duration
+	thr      float64 // correct ops per second
+	cpuPerOp time.Duration
+	allocPer float64 // bytes per op
 }
 
 // boot brings up a fresh deployment and runs the workload's set-up.
@@ -155,14 +161,16 @@ func (r *runner) boot(w workload, t *tracer) (*system, error) {
 	return s, nil
 }
 
-// timed runs the n ops once, as r.sp.rounds rounds of consecutive ops.
+// timed runs the n ops once, as r.rounds rounds of consecutive ops:
+// one round per second of --seconds, so a longer run gives the medians
+// more rounds.
 // release drops the inputs before the live heap is measured.
 func (r *runner) timed(w workload, s *system, t *tracer, release bool) phase {
 	ctx := context.Background()
 	var all []sample
 	var ph phase
-	for k := 0; k < r.sp.rounds; k++ {
-		lo, hi := k*r.n/r.sp.rounds, (k+1)*r.n/r.sp.rounds
+	for k := 0; k < r.rounds; k++ {
+		lo, hi := k*r.n/r.rounds, (k+1)*r.n/r.rounds
 		op := func(ctx context.Context, i int) error { return w.op(ctx, s, t, lo+i) }
 		// Every round starts from a collected heap, so the collector runs
 		// at the same points of the op sequence in every run.
@@ -188,15 +196,15 @@ func (r *runner) timed(w workload, s *system, t *tracer, release bool) phase {
 			cpuPerOp: cpu / time.Duration(len(samples)),
 			allocPer: float64(m1.TotalAlloc-m0.TotalAlloc) / float64(len(samples)),
 		}
-		rd.tailP, rd.beyond = tailPercentile(len(o.lats))
-		rd.tail = percentile(o.lats, rd.tailP)
 		ph.rounds = append(ph.rounds, rd)
+		ph.cpu += cpu
+		ph.allocated += m1.TotalAlloc - m0.TotalAlloc
 		all = append(all, samples...)
 	}
 	ph.outcome = summarize(all)
 	for k, rd := range ph.rounds {
-		fmt.Fprintf(os.Stderr, "perfbench: round %d: p50=%v p%g=%v %.1f ops/s cpu/op=%v\n",
-			k, rd.p50, rd.tailP, rd.tail, rd.thr, rd.cpuPerOp)
+		fmt.Fprintf(os.Stderr, "perfbench: round %d: p50=%v %.1f ops/s cpu/op=%v alloc/op=%.1fKiB\n",
+			k, rd.p50, rd.thr, rd.cpuPerOp, rd.allocPer/1024)
 	}
 	if release {
 		w.release()
@@ -238,18 +246,19 @@ func (r *runner) untraced() (report, error) {
 	return r.report(ph, m), nil
 }
 
-// endToEnd reports each timing as the median over the phase's rounds.
+// endToEnd reports latency and throughput as the median over the
+// phase's rounds, and the per-op costs over all its ops.
 // The tail latency is not among them: across ten runs its spread swung
 // with the host's load from under 0.1 to over 1 of its median, so it is
-// reported without a bound (tailMs) instead.
+// reported without a bound (tail) instead.
 func endToEnd(ph phase) map[string]metric {
 	med := ph.medianOver
 	return map[string]metric{
 		"latency_p50_ms":  {med(func(rd round) float64 { return ms(rd.p50) }), "ms"},
 		"throughput_ops":  {med(func(rd round) float64 { return rd.thr }), "ops/s"},
 		"ok_ratio":        {float64(ph.attempted-ph.failed) / float64(ph.attempted), "ratio"},
-		"cpu_ms_per_op":   {med(func(rd round) float64 { return ms(rd.cpuPerOp) }), "ms"},
-		"alloc_kb_per_op": {med(func(rd round) float64 { return rd.allocPer / 1024 }), "KiB"},
+		"cpu_ms_per_op":   {ms(ph.cpu) / float64(ph.attempted), "ms"},
+		"alloc_kb_per_op": {float64(ph.allocated) / float64(ph.attempted) / 1024, "KiB"},
 		"heap_live_mb":    {float64(ph.heapLive) / (1 << 20), "MiB"},
 	}
 }
@@ -263,10 +272,12 @@ func (ph phase) medianOver(f func(round) float64) float64 {
 	return median(v)
 }
 
-// tailMs is the phase's tail latency: the median over rounds of each
-// round's tail percentile.
-func (ph phase) tailMs() float64 {
-	return ph.medianOver(func(rd round) float64 { return ms(rd.tail) })
+// tail is the phase's tail latency over all its ops: the highest
+// percentile of tailPercentile's ladder with at least ten samples beyond
+// it, with that sample count.
+func (ph phase) tail() (p float64, beyond int, d time.Duration) {
+	p, beyond = tailPercentile(len(ph.lats))
+	return p, beyond, percentile(ph.lats, p)
 }
 
 func (r *runner) report(ph phase, m map[string]metric) report {
@@ -316,7 +327,8 @@ func (r *runner) traced() (report, error) {
 	m["trace.latency_overhead"] = metric{ratio(trM["latency_p50_ms"].Value, refM["latency_p50_ms"].Value) - 1, "ratio"}
 	m["trace.cpu_overhead"] = metric{ratio(trM["cpu_ms_per_op"].Value, refM["cpu_ms_per_op"].Value) - 1, "ratio"}
 	m["loadgen.late_p99_ms"] = metric{ms(percentile(ref.lates, 99)), "ms"}
-	m["e2e.latency_tail_ms"] = metric{ref.tailMs(), "ms"}
+	_, _, tail := ref.tail()
+	m["e2e.latency_tail_ms"] = metric{ms(tail), "ms"}
 	for k, v := range probes(r.seed) {
 		m[k] = v
 	}
@@ -335,6 +347,7 @@ func (r *runner) traced() (report, error) {
 func (r *runner) stamp(traced bool) map[string]any {
 	lateLimit := 50 * time.Millisecond
 	late := percentile(r.stamped.lates, 99)
+	tailP, beyond, tail := r.stamped.tail()
 	env := map[string]any{
 		"go":                  goruntime.Version(),
 		"gomaxprocs":          goruntime.GOMAXPROCS(0),
@@ -348,10 +361,10 @@ func (r *runner) stamp(traced bool) map[string]any {
 		"clients":             r.sp.clients,
 		"links":               r.sp.links,
 		"traced":              traced,
-		"rounds":              r.sp.rounds,
-		"latency_tail_ms":     r.stamped.tailMs(),
-		"tail_percentile":     r.stamped.rounds[0].tailP,
-		"tail_samples_beyond": r.stamped.rounds[0].beyond, // per round
+		"rounds":              r.rounds,
+		"latency_tail_ms":     ms(tail),
+		"tail_percentile":     tailP,
+		"tail_samples_beyond": beyond,
 	}
 	if r.sp.rate > 0 {
 		// An open-loop generator that fell behind its schedule measured

@@ -16,9 +16,11 @@ out=${CARGO_TARGET_DIR:-.bench_build}
 case $out in /*) ;; *) out=$root/$out ;; esac
 mkdir -p "$out/tmp"
 # XDG_CONFIG_HOME keeps the go command's local telemetry counters in the
-# checkout too.
+# checkout too. The module needs nothing but the repository itself, so
+# GOPROXY=off: a broken checkout fails the build instead of fetching.
 export GOCACHE="$out/gocache" GOMODCACHE="$out/gomod" GOPATH="$out/gopath" \
-	GOTMPDIR="$out/tmp" GOTOOLCHAIN=local GOFLAGS=-mod=mod GOENV=off GOWORK=off
+	GOTMPDIR="$out/tmp" GOTOOLCHAIN=local GOFLAGS=-mod=mod GOENV=off GOWORK=off \
+	GOPROXY=off
 (cd "$root/perfbench" && XDG_CONFIG_HOME="$out/config" go build -o "$out/perfbench" .) >&2
 export PERFBENCH_WORKDIR="$out"
 exec "$out/perfbench" "$@"

@@ -40,15 +40,14 @@ type placer interface {
 type spec struct {
 	name string
 	// perSecond ops make one --seconds second of the timed phase: the op
-	// count is fixed by the seed and --seconds, never by the clock.
+	// count is fixed by the seed and --seconds, never by the clock. They
+	// are also one round: the timed ops run as consecutive rounds, each
+	// timed on its own, and timings are the median over rounds, so a
+	// burst of interference from outside the benchmark moves one round,
+	// not the result.
 	perSecond int
 	// rate is the open-loop arrival rate in ops/s; 0 means closed loop.
-	rate float64
-	// rounds splits the timed ops into consecutive rounds, each timed on
-	// its own; timings are the median over rounds, so a burst of
-	// interference from outside the benchmark moves one round, not the
-	// result.
-	rounds   int
+	rate     float64
 	clients  int
 	deadline time.Duration
 	sys      sysConfig
@@ -64,22 +63,22 @@ func specs() []spec {
 	tcp := "loopback TCP (transport.Listen/Dial); SDK↔gateway over loopback HTTP"
 	return []spec{
 		{
-			name: "serve-zipf", perSecond: zipfRate, rate: zipfRate, rounds: 5, clients: clients, deadline: 2 * time.Second,
+			name: "serve-zipf", perSecond: zipfRate, rate: zipfRate, clients: clients, deadline: 2 * time.Second,
 			sys: sysConfig{workers: 2, tcp: true}, links: tcp,
 			make: func() workload { return &serveZipf{} },
 		},
 		{
-			name: "recursive", perSecond: 300, rounds: 10, clients: clients, deadline: 5 * time.Second,
+			name: "recursive", perSecond: 300, clients: clients, deadline: 5 * time.Second,
 			sys: sysConfig{workers: 1, tcp: true}, links: tcp,
 			make: func() workload { return &recursive{} },
 		},
 		{
-			name: "ingest-async", perSecond: 500, rounds: 10, clients: 1, deadline: 5 * time.Second,
+			name: "ingest-async", perSecond: 500, clients: 1, deadline: 5 * time.Second,
 			sys: sysConfig{workers: 2, tcp: true, durable: true}, links: tcp,
 			make: func() workload { return &ingest{} },
 		},
 		{
-			name: "mapreduce", perSecond: 40, rounds: 1, clients: 1, deadline: 10 * time.Second,
+			name: "mapreduce", perSecond: 40, clients: 1, deadline: 10 * time.Second,
 			sys: sysConfig{workers: 4, link: mapLink, meshWorkers: true},
 			links: fmt.Sprintf("simulated (transport.Pipe): %v one-way, %.0f MB/s, edge↔workers and worker mesh; SDK↔gateway over loopback HTTP",
 				mapLink.Latency, mapLink.Bandwidth/1e6),
