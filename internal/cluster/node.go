@@ -224,7 +224,7 @@ type Node struct {
 	ring    *objstore.Ring           // consistent-hash placement ring over live members
 	fetchW  map[core.Handle]*fetchWait
 	jobW    map[core.Handle][]*jobWaiter
-	pending map[string]int // node id → jobs in flight there (scheduling load)
+	pending map[string]int // peer id → our delegations in flight there (scheduling load)
 	rng     *rand.Rand
 	closed  bool
 	net     NetStats // counters only; Peers is filled at snapshot time
@@ -810,10 +810,6 @@ func (n *Node) completeFetch(h core.Handle, data []byte, err error) {
 // result. New objects produced by the job are advertised cluster-wide so
 // downstream placements see them.
 func (n *Node) serveJob(m *proto.Message) {
-	n.mu.Lock()
-	n.pending[n.id]++
-	n.mu.Unlock()
-	defer n.pendingDec(n.id)
 	for _, p := range m.Pushed {
 		if err := n.st.PutObject(p.Handle, p.Data); err == nil {
 			n.mu.Lock()
@@ -844,11 +840,13 @@ func (n *Node) serveJob(m *proto.Message) {
 		t.SetOutcome("error")
 		reply.Err = err.Error()
 	} else {
-		closure := n.closureOf(res)
-		n.broadcast(&proto.Message{Type: proto.TypeAdvertise, From: n.id, Adverts: closure})
-		// Eval outputs are writes too: a result living only on the worker
-		// that computed it would vanish with that worker.
-		n.replicate(closure, false, m.Trace)
+		// A literal result has an empty closure: nothing to advertise.
+		if closure := n.closureOf(res); len(closure) > 0 {
+			n.broadcast(&proto.Message{Type: proto.TypeAdvertise, From: n.id, Adverts: closure})
+			// Eval outputs are writes too: a result living only on the
+			// worker that computed it would vanish with that worker.
+			n.replicate(closure, false, m.Trace)
+		}
 	}
 	if t != nil {
 		tracer.Finish(t)

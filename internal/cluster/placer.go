@@ -13,18 +13,24 @@ import (
 	"fixgo/internal/proto"
 )
 
-// dep is one object a job's execution would need resident.
+// dep is one object in a job's definition closure. An object reached
+// only through a nested Encode is not read by the job itself: that Encode
+// is forced, and placed, on its own before the job runs. Such a dep is
+// shipped with the job (pushSet) but does not price its placement.
 type dep struct {
-	h    core.Handle
-	size uint64
+	h      core.Handle
+	size   uint64
+	nested bool
 }
 
 // Offload implements runtime.Delegator: the node's dataflow-aware
 // scheduler. Given an Encode about to be forced, it walks the job's
-// locally known definition closure, estimates per-candidate data movement
-// (bytes of dependencies not already at the candidate, plus the hinted
-// output size for non-local placements), and delegates to the cheapest
-// node — or declines (handled=false) when this node is already cheapest.
+// locally known definition closure and prices each candidate by the bytes
+// of the job's own inputs not already there (nested Encodes are placed
+// when they are forced, so their data is not charged to this job), plus
+// the hinted output size for non-local placements, plus a load charge
+// when the candidate cannot start the job now. It delegates to the
+// cheapest node — or declines (handled=false) when this node is cheapest.
 //
 // Delegations survive worker death: when the owning peer is evicted
 // mid-flight, the job is re-placed on a surviving candidate (peers the
@@ -160,9 +166,10 @@ func (n *Node) candidates() ([]string, map[string]*peer) {
 }
 
 // jobDeps walks the locally resident definition closure of an Encode's
-// Thunk and collects the data objects its execution will need. It returns
-// ok=false when the definition itself is not local (the job cannot be
-// priced, so it runs here and fetching sorts it out).
+// Thunk and collects the objects its execution will need, marking those
+// reachable only through a nested Encode. It returns ok=false when the
+// definition itself is not local (the job cannot be priced, so it runs
+// here and fetching sorts it out).
 func (n *Node) jobDeps(enc core.Handle) (deps []dep, hint uint64, ok bool) {
 	thunk, err := core.EncodedThunk(enc)
 	if err != nil {
@@ -175,37 +182,44 @@ func (n *Node) jobDeps(enc core.Handle) (deps []dep, hint uint64, ok bool) {
 	if !def.IsLiteral() && !n.st.Contains(def) {
 		return nil, 0, false
 	}
-	seen := make(map[core.Handle]bool)
-	var walk func(h core.Handle)
-	walk = func(h core.Handle) {
+	seen := make(map[core.Handle]int) // object → index in deps
+	var walk func(h core.Handle, nested bool)
+	walk = func(h core.Handle, nested bool) {
 		switch h.RefKind() {
-		case core.RefThunk, core.RefEncode:
+		case core.RefThunk:
 			// The deferred computation's definition is itself a
 			// dependency of running the job here or anywhere.
-			var inner core.Handle
-			if h.RefKind() == core.RefEncode {
-				t, _ := core.EncodedThunk(h)
-				inner, _ = core.ThunkDefinition(t)
-			} else {
-				inner, _ = core.ThunkDefinition(h)
-			}
-			walk(inner)
+			inner, _ := core.ThunkDefinition(h)
+			walk(inner, nested)
+		case core.RefEncode:
+			t, _ := core.EncodedThunk(h)
+			inner, _ := core.ThunkDefinition(t)
+			walk(inner, true)
 		case core.RefObject:
 			k := h.AsObject()
-			if k.IsLiteral() || seen[k] {
+			if k.IsLiteral() {
 				return
 			}
-			seen[k] = true
-			size := k.Size()
-			if k.Kind() == core.KindTree {
-				size *= core.HandleSize
+			if i, ok := seen[k]; ok {
+				if nested || !deps[i].nested {
+					return
+				}
+				// First reached through a nested Encode, now directly:
+				// the job reads it after all, and so its children.
+				deps[i].nested = false
+			} else {
+				seen[k] = len(deps)
+				size := k.Size()
+				if k.Kind() == core.KindTree {
+					size *= core.HandleSize
+				}
+				deps = append(deps, dep{h: k, size: size, nested: nested})
 			}
-			deps = append(deps, dep{h: k, size: size})
 			if k.Kind() == core.KindTree && n.st.Contains(k) {
 				children, err := n.st.Tree(k)
 				if err == nil {
 					for _, c := range children {
-						walk(c)
+						walk(c, nested)
 					}
 				}
 			}
@@ -213,7 +227,7 @@ func (n *Node) jobDeps(enc core.Handle) (deps []dep, hint uint64, ok bool) {
 			// Refs are shallow dependencies: not needed to run.
 		}
 	}
-	walk(def)
+	walk(def, false)
 
 	// The limits entry hints the output size (section 4.2.2).
 	if n.st.Contains(def) {
@@ -229,13 +243,24 @@ func (n *Node) jobDeps(enc core.Handle) (deps []dep, hint uint64, ok bool) {
 }
 
 // pick chooses the placement. With NoLocality it is uniform random
-// (the Fig. 8b ablation); otherwise minimal data movement with a
-// deterministic pseudo-random tie-break so equal-cost jobs spread.
+// (the Fig. 8b ablation); otherwise minimal cost with a deterministic
+// pseudo-random tie-break so equal-cost jobs spread. A candidate's cost
+// is the bytes of the job's own inputs it lacks, plus the output-size
+// hint if it is remote, plus loadPenaltyBytes per job ahead of this one
+// there: for this node, one when every engine core is claimed; for a
+// peer, each of our outstanding delegations to it.
 func (n *Node) pick(enc core.Handle, candidates []string, deps []dep, hint uint64) string {
 	if n.opts.NoLocality {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		return candidates[n.rng.Intn(len(candidates))]
+	}
+	// Ancestors blocked on their children's results hold no core, so
+	// they do not count: this node is loaded only when the job would
+	// have to queue for a core.
+	var selfLoad uint64
+	if claimed, capacity := n.eng.Cores(); claimed >= capacity {
+		selfLoad = 1
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -244,20 +269,14 @@ func (n *Node) pick(enc core.Handle, candidates []string, deps []dep, hint uint6
 	for _, cand := range candidates {
 		var cost uint64
 		for _, d := range deps {
-			if !n.hasLocked(cand, d.h) {
+			if !d.nested && !n.hasLocked(cand, d.h) {
 				cost += d.size
 			}
 		}
+		load := selfLoad
 		if cand != n.id {
 			cost += hint
-		}
-		// Load term: parallel dependees of the same downstream job
-		// (section 4.2.2) spread across nodes instead of piling onto
-		// one equal-cost winner. Self load comes from the engine's
-		// in-flight count; peer load from our outstanding delegations.
-		load := uint64(n.pending[cand])
-		if cand == n.id {
-			load += uint64(n.eng.InFlight())
+			load = uint64(n.pending[cand])
 		}
 		cost += load * loadPenaltyBytes
 		tie := tieBreak(enc, cand)
@@ -268,9 +287,10 @@ func (n *Node) pick(enc core.Handle, candidates []string, deps []dep, hint uint6
 	return best
 }
 
-// loadPenaltyBytes prices one in-flight job in data-movement bytes: small
-// enough that real locality (chunk-sized differences) still dominates,
-// large enough to break ties among equal-cost candidates.
+// loadPenaltyBytes prices one job queued ahead on a candidate in
+// data-movement bytes: small enough that real locality (chunk-sized
+// differences) still dominates, large enough to steer an equal-cost job
+// off a saturated node and to spread delegations across peers.
 const loadPenaltyBytes = 8 << 10
 
 func (n *Node) hasLocked(node string, h core.Handle) bool {

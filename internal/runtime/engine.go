@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fixgo/internal/codelet"
@@ -33,8 +32,6 @@ type Engine struct {
 
 	progMu sync.Mutex
 	progs  map[core.Handle]*codelet.Program
-
-	inFlight atomic.Int64
 }
 
 type futKey struct {
@@ -70,9 +67,13 @@ func (e *Engine) Store() *store.Store { return e.st }
 // Stats returns the engine's CPU-state collector.
 func (e *Engine) Stats() *stats.Collector { return e.opts.Stats }
 
-// InFlight reports the number of Application invocations currently being
-// prepared or executed — a load signal for distributed schedulers.
-func (e *Engine) InFlight() int64 { return e.inFlight.Load() }
+// Cores reports the CPU slots currently claimed by running invocations
+// and the slot capacity — a load signal for distributed schedulers.
+// Invocations still resolving or fetching their inputs claim no slot.
+func (e *Engine) Cores() (claimed, capacity int) {
+	cpu, _ := e.res.inUse()
+	return cpu, e.res.cpuCap
+}
 
 // Eval evaluates a Fix object to a data Handle: data evaluates to itself,
 // Thunks are evaluated until the result is not a Thunk, and Encodes are
@@ -341,8 +342,6 @@ func (e *Engine) select_(ctx context.Context, t core.Handle, depth int) (core.Ha
 // resources are claimed only after every dependency is resident; the
 // InternalIO ablation claims them first and charges the fetch as I/O wait.
 func (e *Engine) apply(ctx context.Context, t core.Handle, depth int) (core.Handle, error) {
-	e.inFlight.Add(1)
-	defer e.inFlight.Add(-1)
 	sysStart := time.Now()
 	def, err := core.ThunkDefinition(t)
 	if err != nil {
